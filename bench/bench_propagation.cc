@@ -2,8 +2,10 @@
 // of data items actually copied, independent of the database size N (§6).
 //
 // Part A fixes N = 65536 items and sweeps m (dirty items per exchange).
-// Part B fixes m = 64 and sweeps N: the paper's protocol must stay flat,
-// while a per-item pass grows with N.
+// Part B fixes m = 64 and sweeps N with a populated recipient — it already
+// holds all N items, so its origin log has N records (`recipient_items`).
+// The paper's protocol must stay flat; any per-item pass, on either side,
+// grows with N.
 //
 // Part C (wire v3, DESIGN.md §10) measures the same exchange through the
 // zero-copy view pipeline (PropagateOnceFast) against the owned baseline,
@@ -76,6 +78,7 @@ void MeasureExchange(benchmark::State& state, int64_t n, int64_t m,
 
   state.counters["N_items"] = static_cast<double>(n);
   state.counters["m_dirty"] = static_cast<double>(m);
+  state.counters["recipient_items"] = static_cast<double>(dst.items().size());
   state.counters["records_selected"] = benchmark::Counter(
       static_cast<double>(src.stats().log_records_selected),
       benchmark::Counter::kAvgIterations);

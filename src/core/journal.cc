@@ -237,6 +237,12 @@ Status JournaledReplica::AcceptPropagation(const PropagationResponse& resp) {
     // No state change; nothing worth journaling.
     return replica_->AcceptPropagation(resp);
   }
+  // Validate before journaling: a response the replica rejects must not
+  // reach the journal, or every later replay would hit the same reject and
+  // the directory would no longer open.
+  PropagationResponseView view;
+  wire::MakeResponseView(resp, &view);
+  EPI_RETURN_NOT_OK(replica_->ValidatePropagationResponse(view));
   ByteWriter w;
   w.PutU8(static_cast<uint8_t>(RecordTag::kPropagation));
   wire::EncodePropagationResponseBody(w, resp);
@@ -245,17 +251,19 @@ Status JournaledReplica::AcceptPropagation(const PropagationResponse& resp) {
 }
 
 Status JournaledReplica::AcceptPropagationSegmentV3(std::string_view body) {
-  // Decode (and thereby fully validate) before journaling, so a corrupt
-  // body is rejected without leaving an unreplayable record behind.
+  // Decode and validate before journaling, so a corrupt body or a response
+  // the replica rejects leaves no unreplayable record behind.
   wire::SegmentViewStorage storage;
   PropagationResponseView view;
   EPI_RETURN_NOT_OK(wire::DecodeShardSegmentBodyV3(body, &storage, &view));
+  EPI_RETURN_NOT_OK(replica_->ValidatePropagationResponse(view));
   ByteWriter w;
   w.Reserve(body.size() + 1);
   w.PutU8(static_cast<uint8_t>(RecordTag::kPropagationSegV3));
   w.PutBytes(body.data(), body.size());
   EPI_RETURN_NOT_OK(AppendRecord(w.Release()));
-  return replica_->AcceptPropagation(view);
+  replica_->ApplyPropagation(view);
+  return Status::OK();
 }
 
 Status JournaledReplica::AcceptOobResponse(const OobResponse& resp) {

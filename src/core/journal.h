@@ -59,7 +59,9 @@ class JournaledReplica {
   JournaledReplica(const JournaledReplica&) = delete;
   JournaledReplica& operator=(const JournaledReplica&) = delete;
 
-  // Journaled mutating operations — logged, then applied.
+  // Journaled mutating operations — logged, then applied. A propagation
+  // response is validated against the replica before it is logged, so a
+  // response the replica would reject never reaches the journal.
   Status Update(std::string_view name, std::string_view value)
       REQUIRES_SHARD_CONTEXT;
   Status Delete(std::string_view name) REQUIRES_SHARD_CONTEXT;
@@ -70,7 +72,7 @@ class JournaledReplica {
   Status AcceptOobResponse(const OobResponse& resp) REQUIRES_SHARD_CONTEXT;
 
   /// Journaled accept of a raw wire-v3 segment body: the body is decoded
-  /// zero-copy (which also validates it *before* anything is journaled),
+  /// zero-copy and validated *before* anything is journaled,
   /// appended verbatim under its own record tag, and applied through the
   /// view path — the owned PropagationResponse is never materialized, on
   /// the live path or on replay.

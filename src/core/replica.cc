@@ -294,8 +294,19 @@ Status Replica::ValidatePropagationResponse(
     // one update of one item, so an equal seq is legitimate only when it
     // names the same item (a re-shipped record, replaced in place via
     // P(x)). Merge-scan the sorted log against the sorted tail to reject
-    // the rest.
-    const LogRecord* existing = logs_.ForOrigin(k).head();
+    // the rest. Records below the tail's first seq can never match, so the
+    // scan starts where CollectTail would: walk back from the end of L[k]
+    // to the earliest record at or beyond that seq. Every tail seq exceeds
+    // DBVV[k], and without conflicts DBVV[k] is L[k]'s newest seq, so the
+    // walk is O(1) then and O(records beyond the horizon) after conflicts —
+    // never O(|L[k]|).
+    if (resp.tails[k].empty()) continue;
+    const UpdateCount first_seq = resp.tails[k].front().seq;
+    const LogRecord* existing = nullptr;
+    for (const LogRecord* r = logs_.ForOrigin(k).tail();
+         r != nullptr && r->seq >= first_seq; r = r->prev) {
+      existing = r;
+    }
     for (const WireLogRecordView& rec : resp.tails[k]) {
       while (existing != nullptr && existing->seq < rec.seq) {
         existing = existing->next;
@@ -332,7 +343,11 @@ Status Replica::AcceptPropagation(const PropagationResponseView& resp) {
   // malicious input is rejected atomically (the paper assumes correct
   // peers; a production receiver cannot).
   EPI_RETURN_NOT_OK(ValidatePropagationResponse(resp));
+  ApplyPropagation(resp);
+  return Status::OK();
+}
 
+void Replica::ApplyPropagation(const PropagationResponseView& resp) {
   // Step 2 (Fig. 3): adopt every received copy that strictly dominates the
   // local regular copy. Items whose copies were not adopted (conflicts, and
   // the defensively handled impossible cases) have their records dropped
@@ -392,7 +407,6 @@ Status Replica::AcceptPropagation(const PropagationResponseView& resp) {
   for (Item* item : copied) {
     IntraNodePropagation(*item);
   }
-  return Status::OK();
 }
 
 size_t Replica::PumpIntraNode() {

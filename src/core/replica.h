@@ -248,6 +248,16 @@ class Replica {
   Status AcceptPropagation(const PropagationResponseView& resp)
       REQUIRES_SHARD_CONTEXT;
 
+  /// The read-only validation AcceptPropagation runs before touching any
+  /// state: OK exactly when AcceptPropagation would accept `resp`. Width
+  /// and duplicate checks on S; every tail an ordered suffix beyond our
+  /// DBVV naming only items in S; no tail seq already held in L[k] by a
+  /// different item. Time O(m + records of L[k] beyond DBVV[k]) — the
+  /// forged-seq scan starts from the end of each origin log, never its
+  /// head. Journaling callers run it before writing the record, so a
+  /// rejected response never reaches the journal.
+  Status ValidatePropagationResponse(const PropagationResponseView& resp) const;
+
   /// Runs the Fig. 4 intra-node propagation loop over every out-of-bound
   /// item, not just ones copied by the last exchange: replays auxiliary
   /// redo records whose pre-IVV matches the regular copy and retires
@@ -351,9 +361,12 @@ class Replica {
   Status ApplyUserWrite(std::string_view name, std::string_view value,
                         bool deleted) REQUIRES_SHARD_CONTEXT;
 
-  /// Read-only structural validation of a propagation response, run before
-  /// any state is touched so malformed input is rejected atomically.
-  Status ValidatePropagationResponse(const PropagationResponseView& resp) const;
+  /// AcceptPropagation's state changes (Fig. 3 steps 2-3 and Fig. 4) for a
+  /// response ValidatePropagationResponse has passed. JournaledReplica
+  /// validates, journals, then applies through this, so the journal holds
+  /// only accepted responses and the live path validates once.
+  void ApplyPropagation(const PropagationResponseView& resp)
+      REQUIRES_SHARD_CONTEXT;
 
   /// Runs the Fig. 4 loop for one item that was copied by AcceptPropagation.
   void IntraNodePropagation(Item& item) REQUIRES_SHARD_CONTEXT;
@@ -362,6 +375,7 @@ class Replica {
                       ConflictSource source);
 
   friend class SnapshotCodec;  // snapshot.cc: serializes/restores privates
+  friend class JournaledReplica;  // journal.cc: validate, journal, apply
 
   NodeId id_;
   size_t num_nodes_;

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "common/logging.h"
+
 namespace epidemic::runtime {
 
 // Futex word lock, the classic three-state scheme: a waiter always leaves
@@ -27,7 +29,9 @@ void ShardScheduler::Gate::Lock() {
   }
 }
 
-ShardScheduler::ShardScheduler(Options options) : options_(options) {
+ShardScheduler::ShardScheduler(Options options)
+    : options_(options), mutation_epoch_(options.first_epoch) {
+  EPI_CHECK(options_.first_epoch != 0) << "epoch 0 is the never-sampled mark";
   if (options_.num_shards == 0) options_.num_shards = 1;
   if (options_.manual) options_.workers = 0;
   options_.workers = std::min(options_.workers, options_.num_shards);

@@ -90,6 +90,10 @@ class ShardScheduler {
     size_t channel_capacity = 256;
     /// Per-shard optimistic read-cache slots (0 disables the cache).
     size_t read_cache_slots = 256;
+    /// MutationEpoch() before the first mutation; must be nonzero. A
+    /// server draws it per incarnation, so that a peer's epoch cached from
+    /// an earlier run of the same node does not match (see MutationEpoch).
+    uint64_t first_epoch = 1;
   };
 
   explicit ShardScheduler(Options options);
@@ -176,8 +180,10 @@ class ShardScheduler {
   /// state only changes inside mutating sections — the single-writer
   /// discipline — an unchanged epoch proves the whole database is
   /// unchanged, which is what makes the anti-entropy epoch probe sound
-  /// (an O(1) "anything new since my last pull?" check). Starts at 1 so
-  /// 0 can serve as a "never sampled" sentinel.
+  /// (an O(1) "anything new since my last pull?" check). Starts at
+  /// Options::first_epoch, never 0, so 0 can serve as a "never sampled"
+  /// sentinel. Only this incarnation's mutations are counted, so epochs
+  /// are comparable across restarts only if the first one differs.
   uint64_t MutationEpoch() const {
     // relaxed: conservative-not-lossy probe — the epoch is sampled BEFORE
     // serving, so a stale read only causes an extra propagation round,
@@ -266,7 +272,7 @@ class ShardScheduler {
   /// gates/futexes only pay for notification when it can actually help.
   bool parallel_ = false;
 
-  std::atomic<uint64_t> mutation_epoch_{1};
+  std::atomic<uint64_t> mutation_epoch_;
   mutable std::atomic<uint64_t> inline_tasks_{0};
   mutable std::atomic<uint64_t> fast_path_runs_{0};
   mutable std::atomic<uint64_t> exclusive_barriers_{0};

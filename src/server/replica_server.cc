@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <random>
 #include <utility>
 
 #include "common/logging.h"
@@ -44,6 +45,19 @@ Status NotFoundFor(std::string_view item) {
   return Status::NotFound("no item named '" + std::string(item) + "'");
 }
 
+/// The first mutation epoch of one server incarnation. A peer remembers
+/// the epoch of its last pull from us and skips the next pull when a probe
+/// finds it unchanged. A restarted node that counted again from the same
+/// start could hit that cached epoch after the same number of writes, and
+/// the peer would never pull them. The risk lasts one probe (the first
+/// miss makes the peer re-pull and cache the new epoch), so a start drawn
+/// uniformly from [1, 2^28) leaves odds of 2^-28 per restart, never uses
+/// the 0 sentinel, and keeps the epoch within 4 varint bytes on the wire.
+uint64_t IncarnationEpoch() {
+  std::random_device entropy;
+  return 1 + entropy() % ((uint64_t{1} << 28) - 1);
+}
+
 runtime::ShardScheduler::Options SchedulerOptions(size_t num_shards,
                                                   size_t workers,
                                                   size_t read_cache_slots) {
@@ -51,6 +65,7 @@ runtime::ShardScheduler::Options SchedulerOptions(size_t num_shards,
   opts.num_shards = num_shards;
   opts.workers = workers;
   opts.read_cache_slots = read_cache_slots;
+  opts.first_epoch = IncarnationEpoch();
   return opts;
 }
 
@@ -771,10 +786,20 @@ ReplicaStats ReplicaServer::TotalStats(bool reset) {
 }
 
 Status ReplicaServer::PullFrom(NodeId peer) {
+  MutexLock lock(pull_mu_);
+  return PullFromLocked(peer);
+}
+
+Status ReplicaServer::PullFromLocked(NodeId peer) {
   // Snapshot the per-shard DBVV handshake as one scheduler batch, release
-  // everything for the RPC, and merge the response per shard. Shards
-  // mutated between build and accept simply make the peer ship a little
-  // extra; AcceptPropagation is idempotent about duplicates.
+  // the shards for the RPC, and merge the response per shard. A local
+  // update between build and accept advances only our own DBVV component,
+  // which the peer never ships back to us. A second pull in that window
+  // would instead raise other components past the bottom of this pull's
+  // tails, and the replica rejects a tail at or below its horizon, so
+  // pull_mu_ keeps pulls one at a time. (A ResolveConflict in the window
+  // can still do the same; the reject is atomic — nothing journaled or
+  // applied — and the next pull ships the tail again.)
   ShardedReplica& rep = sharded();
   const size_t num_shards = rep.num_shards();
   ShardedPropagationRequest req;

@@ -173,7 +173,9 @@ class ReplicaServer : public net::RequestHandler {
 
   /// One anti-entropy exchange pulling from `peer` over the transport —
   /// all shards in one round trip, unchanged shards skipped by the peer.
-  Status PullFrom(NodeId peer);
+  /// Pulls at one node run one at a time (the anti-entropy thread and any
+  /// number of `sync` requests), each over the previous one's result.
+  Status PullFrom(NodeId peer) EXCLUDES(pull_mu_);
 
   /// Out-of-bound fetch of `item` from `peer` over the transport (§5.2).
   Status OobFetch(NodeId peer, std::string_view item);
@@ -206,6 +208,8 @@ class ReplicaServer : public net::RequestHandler {
 
  private:
   void AntiEntropyLoop() EXCLUDES(thread_mu_);
+
+  Status PullFromLocked(NodeId peer) REQUIRES(pull_mu_);
 
   /// The sharded state, durable or in-memory. Per-shard access requires
   /// being inside that shard's single-writer section (hold a ShardToken
@@ -328,6 +332,10 @@ class ReplicaServer : public net::RequestHandler {
       GUARDED_BY(serve_cache_mu_);
   mutable std::atomic<uint64_t> serve_cache_hits_{0};
   mutable std::atomic<uint64_t> serve_cache_misses_{0};
+
+  /// Serializes PullFrom: an overlapping pull would hand the replica
+  /// tails that the other pull's accept has already moved below its DBVV.
+  Mutex pull_mu_;
 
   Mutex thread_mu_;
   std::condition_variable_any cv_;

@@ -161,6 +161,42 @@ TEST_F(JournalTest, CorruptV3SegmentIsRejectedBeforeJournaling) {
   EXPECT_TRUE((*jr)->Read("x").status().IsNotFound());
 }
 
+// Two responses built for the same request: once the first is accepted,
+// the second's tails lie at or below the DBVV and the replica rejects it.
+// The reject must happen before the append, or the journal keeps a record
+// that fails again on every replay and the directory no longer opens.
+TEST_F(JournalTest, RejectedResponseIsNotJournaled) {
+  Replica peer(1, 2);
+  ASSERT_TRUE(peer.Update("a", "1").ok());
+  ASSERT_TRUE(peer.Update("b", "2").ok());
+
+  std::string canonical_before;
+  {
+    auto jr = JournaledReplica::Open(dir_, 0, 2);
+    ASSERT_TRUE(jr.ok());
+    const PropagationRequest req = (*jr)->BuildPropagationRequest();
+    const PropagationResponse owned = peer.HandlePropagationRequest(req);
+    std::string body;
+    wire::EncodeShardSegmentBodyV3(peer.HandlePropagationView(req),
+                                   peer.dbvv(), wire::V3SegmentOptions{},
+                                   nullptr, &body);
+
+    ASSERT_TRUE((*jr)->AcceptPropagation(owned).ok());
+    EXPECT_EQ((*jr)->records_since_checkpoint(), 1u);
+    canonical_before = (*jr)->replica().CanonicalState();
+
+    EXPECT_TRUE((*jr)->AcceptPropagation(owned).IsInvalidArgument());
+    EXPECT_TRUE((*jr)->AcceptPropagationSegmentV3(body).IsInvalidArgument());
+    EXPECT_EQ((*jr)->records_since_checkpoint(), 1u);
+    EXPECT_EQ((*jr)->replica().CanonicalState(), canonical_before);
+  }
+
+  auto recovered = JournaledReplica::Open(dir_, 0, 2);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->replica().CanonicalState(), canonical_before);
+  EXPECT_EQ(*(*recovered)->Read("b"), "2");
+}
+
 TEST_F(JournalTest, CheckpointTruncatesJournal) {
   {
     auto jr = JournaledReplica::Open(dir_, 0, 2);

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/random.h"
@@ -199,6 +202,220 @@ TEST_P(ConflictingScheduleTest, InvariantsHoldAndConflictsAreDetectedNotMasked) 
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConflictingScheduleTest,
                          ::testing::Range(uint64_t{1}, uint64_t{9}));
+
+// ---------------------------------------------------------------------------
+// The forged-tail check starts its merge-scan at the end of each origin log
+// (O(records beyond the horizon)) instead of its head (O(|L[k]|)). It must
+// reach exactly the verdict of the head-first scan on every response —
+// legitimate, forged with reused seqs, or malformed — including logs that
+// hold records beyond DBVV[k], which only conflicts produce.
+
+// The validation as it ran with the merge-scan starting at head(): the
+// reference the end-first walk is checked against.
+Status HeadFirstValidate(const Replica& r, const PropagationResponseView& resp) {
+  const size_t n = r.num_nodes();
+  if (resp.tails.size() != n) {
+    return Status::InvalidArgument(
+        "tail vector has " + std::to_string(resp.tails.size()) +
+        " components, expected " + std::to_string(n));
+  }
+  std::unordered_set<std::string_view> item_names;
+  for (const WireItemView& wi : resp.items) {
+    if (wi.name.empty()) {
+      return Status::InvalidArgument("empty item name in response");
+    }
+    if (wi.ivv == nullptr || wi.ivv->size() != n) {
+      return Status::InvalidArgument("received IVV of wrong width for item '" +
+                                     std::string(wi.name) + "'");
+    }
+    if (!item_names.insert(wi.name).second) {
+      return Status::InvalidArgument("duplicate item '" + std::string(wi.name) +
+                                     "' in response");
+    }
+  }
+  for (NodeId k = 0; k < n; ++k) {
+    UpdateCount prev = r.dbvv()[k];
+    for (const WireLogRecordView& rec : resp.tails[k]) {
+      if (rec.seq <= prev) {
+        return Status::InvalidArgument(
+            "tail for origin " + std::to_string(k) +
+            " is not an ordered suffix beyond our horizon");
+      }
+      prev = rec.seq;
+      if (!item_names.contains(rec.item_name)) {
+        return Status::InvalidArgument("tail record references item '" +
+                                       std::string(rec.item_name) +
+                                       "' not shipped in S");
+      }
+    }
+    const LogRecord* existing = r.log_vector().ForOrigin(k).head();
+    for (const WireLogRecordView& rec : resp.tails[k]) {
+      while (existing != nullptr && existing->seq < rec.seq) {
+        existing = existing->next;
+      }
+      if (existing != nullptr && existing->seq == rec.seq &&
+          r.items().Get(existing->item).name != rec.item_name) {
+        return Status::InvalidArgument(
+            "tail record for origin " + std::to_string(k) + " reuses seq " +
+            std::to_string(rec.seq) + " held by item '" +
+            r.items().Get(existing->item).name + "'");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+// Builds random responses against one recipient. Seqs are drawn mostly
+// from what the recipient's logs hold beyond its DBVV, so the merge-scan
+// is the check that decides; names are the holder's or another item of S.
+class ForgedTailGenerator {
+ public:
+  ForgedTailGenerator(const Replica& r, Rng& rng) : r_(r), rng_(rng) {}
+
+  PropagationResponseView Next() {
+    const size_t n = r_.num_nodes();
+    PropagationResponseView resp;
+    resp.tails.resize(n);
+    std::vector<std::string_view> s_names;
+    const auto add_to_s = [&](std::string_view name) {
+      if (std::find(s_names.begin(), s_names.end(), name) == s_names.end()) {
+        s_names.push_back(name);
+      }
+    };
+    const size_t extra = rng_.Uniform(3);
+    for (size_t i = 0; i < extra; ++i) add_to_s(RandomName());
+    for (NodeId k = 0; k < n; ++k) {
+      if (rng_.Bernoulli(0.4)) continue;
+      const std::vector<const LogRecord*> log = LogOf(k);
+      const UpdateCount horizon = r_.dbvv()[k];
+      std::vector<UpdateCount> seqs;
+      const size_t count = 1 + rng_.Uniform(4);
+      for (size_t i = 0; i < count; ++i) {
+        const double dice = rng_.NextDouble();
+        if (dice < 0.6 && !log.empty()) {
+          seqs.push_back(log[rng_.Uniform(log.size())]->seq);
+        } else if (dice < 0.95) {
+          seqs.push_back(horizon + 1 + rng_.Uniform(3));
+        } else {
+          seqs.push_back(rng_.Uniform(horizon + 1));  // at or below horizon
+        }
+      }
+      if (!rng_.Bernoulli(0.05)) {  // now and then leave it out of order
+        std::sort(seqs.begin(), seqs.end());
+        seqs.erase(std::unique(seqs.begin(), seqs.end()), seqs.end());
+      }
+      for (UpdateCount seq : seqs) {
+        std::string_view name = RandomName();
+        if (rng_.Bernoulli(0.5)) {
+          for (const LogRecord* rec : log) {
+            if (rec->seq == seq) name = r_.items().Get(rec->item).name;
+          }
+        }
+        add_to_s(name);
+        resp.tails[k].push_back(WireLogRecordView{name, seq, 0});
+      }
+    }
+    ivvs_.emplace_back(n);
+    for (std::string_view name : s_names) {
+      resp.items.push_back(WireItemView{name, "v", false, &ivvs_.back()});
+    }
+    return resp;
+  }
+
+ private:
+  std::vector<const LogRecord*> LogOf(NodeId k) const {
+    std::vector<const LogRecord*> out;
+    for (const LogRecord* r = r_.log_vector().ForOrigin(k).head(); r != nullptr;
+         r = r->next) {
+      out.push_back(r);
+    }
+    return out;
+  }
+
+  std::string_view RandomName() {
+    if (r_.items().size() > 0 && rng_.Bernoulli(0.8)) {
+      return r_.items().Get(static_cast<ItemId>(rng_.Uniform(
+                                r_.items().size())))
+          .name;
+    }
+    names_.push_back("fresh" + std::to_string(rng_.Uniform(4)));
+    return names_.back();
+  }
+
+  const Replica& r_;
+  Rng& rng_;
+  std::deque<std::string> names_;     // backing for invented names
+  std::deque<VersionVector> ivvs_;    // backing for the S entries' IVVs
+};
+
+class TailWalkEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TailWalkEquivalenceTest, EndFirstWalkMatchesHeadFirstScan) {
+  const uint64_t seed = GetParam();
+  Rng rng(seed * 104729);
+  const size_t n = 2 + rng.Uniform(3);
+  RecordingConflictListener conflicts;
+  std::vector<std::unique_ptr<Replica>> nodes;
+  for (NodeId i = 0; i < n; ++i) {
+    nodes.push_back(std::make_unique<Replica>(i, n, &conflicts));
+  }
+
+  size_t cases = 0, accepted = 0, reused_seq = 0, beyond_horizon_logs = 0;
+  uint64_t op_counter = 0;
+  for (int step = 0; step < 200; ++step) {
+    // A conflicting schedule: a small shared key space, so records dropped
+    // by conflicts leave logs holding seqs beyond DBVV[k].
+    const NodeId actor = static_cast<NodeId>(rng.Uniform(n));
+    if (rng.NextDouble() < 0.45) {
+      const std::string item = "k" + std::to_string(rng.Uniform(6));
+      ASSERT_TRUE(
+          nodes[actor]->Update(item, "v" + std::to_string(++op_counter)).ok());
+    } else {
+      const NodeId peer = static_cast<NodeId>(rng.Uniform(n));
+      if (peer != actor) {
+        ASSERT_TRUE(PropagateOnce(*nodes[peer], *nodes[actor]).ok());
+      }
+    }
+
+    const Replica& r = *nodes[actor];
+    for (NodeId k = 0; k < n; ++k) {
+      const LogRecord* last = r.log_vector().ForOrigin(k).tail();
+      if (last != nullptr && last->seq > r.dbvv()[k]) ++beyond_horizon_logs;
+    }
+    // The legitimate response from every peer...
+    for (NodeId peer = 0; peer < n; ++peer) {
+      if (peer == actor) continue;
+      const PropagationResponseView& legit =
+          nodes[peer]->HandlePropagationView(r.BuildPropagationRequest());
+      if (legit.you_are_current) continue;
+      const Status got = r.ValidatePropagationResponse(legit);
+      ASSERT_EQ(got.ToString(), HeadFirstValidate(r, legit).ToString())
+          << "seed=" << seed << " step=" << step << " legit from " << peer;
+      ++cases;
+    }
+    // ...and a batch of forged ones.
+    ForgedTailGenerator gen(r, rng);
+    for (int i = 0; i < 20; ++i) {
+      const PropagationResponseView forged = gen.Next();
+      const Status got = r.ValidatePropagationResponse(forged);
+      const Status want = HeadFirstValidate(r, forged);
+      ASSERT_EQ(got.ToString(), want.ToString())
+          << "seed=" << seed << " step=" << step << " forged case " << i;
+      ++cases;
+      if (got.ok()) ++accepted;
+      if (got.message().find("reuses seq") != std::string::npos) ++reused_seq;
+    }
+  }
+  // The generator must have exercised the verdicts that matter: accepts,
+  // and rejects that only the merge-scan catches, on post-conflict logs.
+  EXPECT_GT(cases, 0u);
+  EXPECT_GT(accepted, 0u) << "seed=" << seed;
+  EXPECT_GT(reused_seq, 0u) << "seed=" << seed;
+  EXPECT_GT(beyond_horizon_logs, 0u) << "seed=" << seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TailWalkEquivalenceTest,
+                         ::testing::Range(uint64_t{1}, uint64_t{17}));
 
 }  // namespace
 }  // namespace epidemic

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <memory>
@@ -396,6 +397,57 @@ TEST(ShardedServerTest, EpochProbeSkipsQuiescentRounds) {
   hub.Register(1, nullptr);
 }
 
+// A restarted node counts mutations again from its first epoch. If that
+// were the same in every run, a peer's epoch cached from the previous run
+// could match the new one after the same number of writes, the O(1) probe
+// would answer "nothing new", and the peer would never pull the new writes.
+TEST(DurableServerTest, PeersConvergeAcrossRepeatedRestartsOfOneNode) {
+  constexpr size_t kNodes = 3;
+  constexpr int kWritesPerRun = 4;
+  constexpr int kRuns = 3;  // the first run, then two restarts
+  const std::string dir = ::testing::TempDir() + "/repeated_restart_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  net::InProcHub hub(kNodes);
+  net::InProcTransport transport(&hub);
+  ReplicaServer peer1(1, kNodes, &transport, {});
+  ReplicaServer peer2(2, kNodes, &transport, {});
+  hub.Register(1, &peer1);
+  hub.Register(2, &peer2);
+
+  for (int run = 0; run < kRuns; ++run) {
+    auto durable = JournaledShardedReplica::Open(
+        dir, 0, kNodes, ShardedReplica::kDefaultShards);
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    ReplicaServer node0(std::move(*durable), &transport, {});
+    hub.Register(0, &node0);
+    for (int w = 0; w < kWritesPerRun; ++w) {
+      ASSERT_TRUE(node0
+                      .Update("run" + std::to_string(run) + "-" +
+                                  std::to_string(w),
+                              "v")
+                      .ok());
+    }
+    ASSERT_TRUE(peer1.PullFrom(0).ok());
+    ASSERT_TRUE(peer2.PullFrom(0).ok());
+    hub.Register(0, nullptr);
+  }  // every run ends in a "kill": no checkpoint, recovery from the journal
+
+  for (ReplicaServer* peer : {&peer1, &peer2}) {
+    peer->WithReplica([](const ShardedReplica& r) {
+      EXPECT_EQ(r.AggregateDbvv()[0],
+                static_cast<UpdateCount>(kWritesPerRun * kRuns));
+    });
+    Result<std::string> last = peer->Read("run2-3");
+    ASSERT_TRUE(last.ok()) << last.status().ToString();
+    EXPECT_EQ(*last, "v");
+  }
+  hub.Register(1, nullptr);
+  hub.Register(2, nullptr);
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // The same server stack over real TCP sockets.
 
@@ -453,6 +505,79 @@ TEST(TcpClusterTest, OobFetchOverSockets) {
 
   tcp0.Stop();
   tcp1.Stop();
+}
+
+// Pulls at one node may be started from several places at once: its own
+// anti-entropy loop and any number of `sync` requests. Each must see the
+// previous one's result; overlapping, the later accept would get tails
+// below the DBVV the earlier one just advanced, and be rejected.
+TEST(TcpClusterTest, ConcurrentSyncsOnDurableNodeAllSucceed) {
+  constexpr size_t kNodes = 2;
+  constexpr int kSyncThreads = 4;
+  constexpr int kSyncsPerThread = 40;
+  const std::string dir = ::testing::TempDir() + "/concurrent_sync_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  net::TcpTransport transport(kNodes);
+  ReplicaServer source(1, kNodes, &transport, {});
+  net::TcpServer tcp1(&source);
+  ASSERT_TRUE(tcp1.Start(0).ok());
+  transport.SetPeerPort(1, tcp1.port());
+
+  VersionVector dbvv_before_restart;
+  {
+    auto durable = JournaledShardedReplica::Open(
+        dir, 0, kNodes, ShardedReplica::kDefaultShards);
+    ASSERT_TRUE(durable.ok());
+    ReplicaServer::Options opts;
+    opts.peers = {1};
+    opts.anti_entropy_interval_micros = 100;
+    ReplicaServer node0(std::move(*durable), &transport, opts);
+    net::TcpServer tcp0(&node0);
+    ASSERT_TRUE(tcp0.Start(0).ok());
+    transport.SetPeerPort(0, tcp0.port());
+    node0.Start();
+
+    std::atomic<bool> writing{true};
+    std::thread writer([&source, &writing] {
+      for (int i = 0; writing.load(); ++i) {
+        ASSERT_TRUE(source.Update("k" + std::to_string(i % 64),
+                                  "v" + std::to_string(i))
+                        .ok());
+      }
+    });
+    std::vector<std::thread> syncers;
+    for (int t = 0; t < kSyncThreads; ++t) {
+      syncers.emplace_back([&transport] {
+        ReplicaClient client(&transport, 0);
+        for (int i = 0; i < kSyncsPerThread; ++i) {
+          Status s = client.TriggerSync(1);
+          EXPECT_TRUE(s.ok()) << s.ToString();
+        }
+      });
+    }
+    for (auto& t : syncers) t.join();
+    writing.store(false);
+    writer.join();
+    node0.Stop();
+
+    ASSERT_TRUE(node0.PullFrom(1).ok());
+    node0.WithReplica([&](const ShardedReplica& r) {
+      dbvv_before_restart = r.AggregateDbvv();
+    });
+    source.WithReplica([&](const ShardedReplica& r) {
+      EXPECT_EQ(r.AggregateDbvv(), dbvv_before_restart);
+    });
+    tcp0.Stop();
+  }  // "kill": no checkpoint
+
+  auto reopened = JournaledShardedReplica::Open(
+      dir, 0, kNodes, ShardedReplica::kDefaultShards);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->view().AggregateDbvv(), dbvv_before_restart);
+  tcp1.Stop();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
